@@ -8,6 +8,7 @@ use strandfs_core::journal::JournalConfig;
 use strandfs_core::mrs::{compile_schedule, Mrs, PlaySchedule};
 use strandfs_core::msm::{Msm, MsmConfig, RecoveryReport};
 use strandfs_core::rope::edit::{Interval, MediaSel};
+use strandfs_core::strand::index::NO_SUM;
 use strandfs_core::{FsError, StrandId};
 use strandfs_disk::{
     DiskGeometry, Extent, FaultInjector, FaultPlan, GapBounds, SeekModel, SimDisk,
@@ -15,7 +16,7 @@ use strandfs_disk::{
 use strandfs_obs::ObsSink;
 use strandfs_sim::scenario::{record_clip, ClipSpec};
 use strandfs_units::prng::mix_seed;
-use strandfs_units::Instant;
+use strandfs_units::{fnv1a, Instant};
 
 /// Whether a member is believed servable. `Down` is a *belief*, not a
 /// command: [`Cluster::kill`] only arms the fault plan, and the member
@@ -105,6 +106,9 @@ pub struct RestoreProgress {
     /// Virtual time the step's last disk operation completed (equals
     /// the step's start when nothing was copied).
     pub finished_at: Instant,
+    /// Restore jobs dropped this step because their source held a
+    /// block that failed its stamp.
+    pub refused: u64,
 }
 
 /// In-flight state of one replica restoration, kept across budgeted
@@ -136,6 +140,10 @@ pub struct Cluster {
     /// Replicas placed per member (the load input to placement).
     placed: Vec<usize>,
     restore: Option<RestoreJob>,
+    /// `(title, replica)` sources that held a corrupt block when a
+    /// restore copied from them. They are not copied from again until
+    /// they are themselves rebuilt.
+    refused_sources: Vec<(TitleId, usize)>,
     /// The shared sink, re-installed on members rebuilt by rejoin.
     obs: ObsSink,
     /// Whether member fetches verify payload checksums; re-applied to
@@ -189,6 +197,7 @@ impl Cluster {
             catalog: Catalog::new(),
             cursor: 0,
             restore: None,
+            refused_sources: Vec::new(),
             obs: ObsSink::noop(),
             verify_reads: false,
         })
@@ -452,13 +461,28 @@ impl Cluster {
     /// True if some lost replica could be restored right now (its
     /// volume is up and a live source exists on another up member).
     pub fn restorable_lost(&self) -> bool {
-        self.catalog.lost_replicas().iter().any(|&(t, i)| {
-            let r = &self.catalog.title(t).replicas[i];
-            self.is_up(r.volume)
-                && self
-                    .catalog
-                    .live_replica(t, Some(i), |v| self.is_up(v) && v != r.volume)
-                    .is_some()
+        self.catalog
+            .lost_replicas()
+            .iter()
+            .any(|&(t, i)| self.restore_source(t, i).is_some())
+    }
+
+    /// The live replica lost replica `i` of title `t` can be restored
+    /// from: on another up member, and not refused by an earlier copy.
+    /// `None` while the replica's own volume is down.
+    fn restore_source(&self, t: TitleId, i: usize) -> Option<usize> {
+        let replicas = &self.catalog.title(t).replicas;
+        let dst = replicas[i].volume;
+        if !self.is_up(dst) {
+            return None;
+        }
+        (0..replicas.len()).find(|&j| {
+            let r = &replicas[j];
+            j != i
+                && r.state == ReplicaState::Live
+                && r.volume != dst
+                && self.is_up(r.volume)
+                && !self.refused_sources.contains(&(t, j))
         })
     }
 
@@ -534,14 +558,7 @@ impl Cluster {
 
     fn next_restore_job(&self) -> Option<RestoreJob> {
         for (t, i) in self.catalog.lost_replicas() {
-            let r = &self.catalog.title(t).replicas[i];
-            if !self.is_up(r.volume) {
-                continue;
-            }
-            if let Some(src) = self
-                .catalog
-                .live_replica(t, Some(i), |v| self.is_up(v) && v != r.volume)
-            {
+            if let Some(src) = self.restore_source(t, i) {
                 return Some(RestoreJob {
                     title: t,
                     replica: i,
@@ -562,6 +579,14 @@ impl Cluster {
     /// destination). When a replica's last strand finishes, its
     /// schedule is rebuilt by strand-id remapping from the source
     /// replica and the copy goes live.
+    ///
+    /// Like read-around repair, the copy checks each source block
+    /// against its stamp and carries that stamp over, so corrupt bytes
+    /// are never re-stamped as good on the new replica. A source block
+    /// that fails the check voids the job (its half-written destination
+    /// strands are deleted, counted in [`RestoreProgress::refused`]) and
+    /// the source is not copied from again until it is itself rebuilt;
+    /// the replica is retried from another live copy, or stays `Lost`.
     pub fn re_replicate(
         &mut self,
         now: Instant,
@@ -592,7 +617,8 @@ impl Cluster {
             } else {
                 (&mut tail[0], &mut head[lo])
             };
-            while job.cur < src_strands.len() && progress.copied_blocks < max_blocks {
+            let mut refused = false;
+            'copy: while job.cur < src_strands.len() && progress.copied_blocks < max_blocks {
                 let loc = src_strands[job.cur];
                 let (meta, unit_count) = {
                     let s = src_m.mrs.msm().strand(loc.strand)?;
@@ -609,7 +635,15 @@ impl Cluster {
                 while job.block < loc.blocks && progress.copied_blocks < max_blocks {
                     let n = job.block;
                     let units = meta.granularity.min(unit_count - n * meta.granularity);
-                    match src_m.mrs.msm_mut().read_block(loc.strand, n, t)? {
+                    let src_msm = src_m.mrs.msm_mut();
+                    let read = match src_msm.read_block(loc.strand, n, t) {
+                        Err(FsError::ChecksumMismatch { .. }) => {
+                            refused = true;
+                            break 'copy;
+                        }
+                        read => read?,
+                    };
+                    match read {
                         (None, _) => {
                             dst_m.mrs.msm_mut().append_silence(dst_id, units, t)?;
                         }
@@ -617,10 +651,22 @@ impl Cluster {
                             if let Some(op) = op {
                                 t = t.max(op.completed);
                             }
+                            // A verifying read has already matched the
+                            // stamp; otherwise hash the bytes here, once.
+                            let stamp = src_msm.strand(loc.strand)?.block_sum(n)?;
+                            let sum = if stamp != NO_SUM && src_msm.verify_reads() {
+                                stamp
+                            } else {
+                                fnv1a(&payload)
+                            };
+                            if stamp != NO_SUM && sum != stamp {
+                                refused = true;
+                                break 'copy;
+                            }
                             let (_, wop) = dst_m
                                 .mrs
                                 .msm_mut()
-                                .append_block(dst_id, t, &payload, units)?;
+                                .append_stamped_block(dst_id, t, &payload, units, sum)?;
                             t = t.max(wop.completed);
                         }
                     }
@@ -636,6 +682,13 @@ impl Cluster {
                 }
             }
             progress.finished_at = progress.finished_at.max(t);
+            if refused {
+                self.refused_sources.push((job.title, job.src_replica));
+                self.restore = Some(job);
+                self.void_restore(true);
+                progress.refused += 1;
+                continue;
+            }
             if job.cur == src_strands.len() {
                 // Rebuild the replica: the source schedule with strand
                 // ids remapped onto the fresh copies.
@@ -663,6 +716,8 @@ impl Cluster {
                 replica.schedule = schedule;
                 replica.strands = strands;
                 replica.state = ReplicaState::Live;
+                self.refused_sources
+                    .retain(|&r| r != (job.title, job.replica));
                 self.placed[dst_v] += 1;
                 progress.completed_replicas += 1;
             } else {
@@ -777,6 +832,56 @@ mod tests {
                 .read_block(item.strand, item.block, t)
                 .expect("restored block read");
         }
+    }
+
+    #[test]
+    fn restore_refuses_a_corrupt_source_block() {
+        let mut c = two_volume_cluster();
+        let id = c
+            .ingest("clip", &ClipSpec::av_seconds(1.0).with_seed(11), 0.0)
+            .expect("ingest");
+        c.kill(0);
+        c.mark_down(0);
+        c.rejoin_wiped(0);
+        // Rot one stored block of the only live copy (on volume 1).
+        let src = c.catalog().title(id).replicas[1].strands[0].strand;
+        let bad = {
+            let s = c.members()[1]
+                .mrs()
+                .msm()
+                .strand(src)
+                .expect("source strand");
+            let n = s
+                .blocks()
+                .iter()
+                .rposition(Option::is_some)
+                .expect("a stored block");
+            s.block(n as u64).expect("in range").expect("stored")
+        };
+        assert!(c.arm_member_faults(1, FaultPlan::clean().with_silent_corruption(bad)));
+        assert!(c.restorable_lost());
+        let mut t = Instant::EPOCH;
+        let mut refused = 0;
+        while c.restorable_lost() {
+            let p = c.re_replicate(t, 8).expect("a refusal is not an error");
+            refused += p.refused;
+            t = p.finished_at + Nanos::from_millis(1);
+            assert_eq!(
+                p.completed_replicas, 0,
+                "a copy of the corrupt block went live"
+            );
+        }
+        assert_eq!(
+            refused, 1,
+            "the corrupt source is refused once, then skipped"
+        );
+        // The half-copied destination was unwound, not left stamped, and
+        // with no other source the replica stays lost.
+        assert_eq!(c.catalog().title(id).replicas[0].state, ReplicaState::Lost);
+        assert_eq!(c.members()[0].mrs().msm().strand_ids().len(), 0);
+        assert!(c.fsck_member(0, t).clean());
+        let p = c.re_replicate(t, 8).expect("nothing left to try");
+        assert_eq!((p.copied_blocks, p.refused), (0, 0));
     }
 
     #[test]

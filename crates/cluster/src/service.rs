@@ -172,6 +172,10 @@ pub struct ClusterReport {
     pub restored_blocks: u64,
     /// Replicas brought back live by background re-replication.
     pub restored_replicas: u64,
+    /// Restore jobs dropped because their source held a block that
+    /// failed its stamp (the copy is unwound; see
+    /// [`Cluster::re_replicate`]).
+    pub restore_refusals: u64,
     /// Blocks the background scrubber verified.
     pub scrubbed_blocks: u64,
     /// Corrupt blocks the scrubber detected.
@@ -928,6 +932,7 @@ pub fn simulate_cluster(
     let mut failovers = 0u64;
     let mut restored_blocks = 0u64;
     let mut restored_replicas = 0u64;
+    let mut restore_refusals = 0u64;
     let mut t = Instant::EPOCH;
     let mut round = 0u64;
     let mut clean_streak = 0u64;
@@ -1087,6 +1092,7 @@ pub fn simulate_cluster(
                 let p = cluster.re_replicate(t, cfg.restore_blocks_per_round)?;
                 restored_blocks += p.copied_blocks;
                 restored_replicas += p.completed_replicas;
+                restore_refusals += p.refused;
                 t = t.max(p.finished_at);
             }
             clean_streak += 1;
@@ -1381,6 +1387,7 @@ pub fn simulate_cluster(
             let p = cluster.re_replicate(t_next, cfg.restore_blocks_per_round)?;
             restored_blocks += p.copied_blocks;
             restored_replicas += p.completed_replicas;
+            restore_refusals += p.refused;
             t_next = t_next.max(p.finished_at);
         }
         // The round end is decided; whatever slack remains on each
@@ -1496,6 +1503,7 @@ pub fn simulate_cluster(
         rejoins,
         restored_blocks,
         restored_replicas,
+        restore_refusals,
         scrubbed_blocks: scrub.scrubbed,
         scrub_corrupt: scrub.corrupt,
         scrub_repaired: scrub.repaired,
@@ -1808,6 +1816,39 @@ mod tests {
             .replicas
             .iter()
             .all(|r| r.state == crate::catalog::ReplicaState::Live));
+        assert!(c.fsck_member(0, Instant::from_nanos(u64::MAX / 4)).clean());
+    }
+
+    #[test]
+    fn a_corrupt_restore_source_is_refused_without_ending_the_run() {
+        let mut c = cluster(2, 2);
+        let id = c
+            .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(9), 1.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        c.kill(0);
+        c.mark_down(0);
+        c.rejoin_wiped(0);
+        // Rot a block of the only live copy, on volume 1.
+        let src = c.catalog().title(id).replicas[1].strands[0].strand;
+        let bad = {
+            let s = c.members()[1].mrs().msm().strand(src).unwrap();
+            s.block(s.blocks().len() as u64 / 2).unwrap().unwrap()
+        };
+        assert!(c.arm_member_faults(1, FaultPlan::clean().with_silent_corruption(bad)));
+        let cfg = ClusterPlayback::with_k(3).restore(2);
+        let report = simulate_cluster(&mut c, &[], &[], &cfg).expect("a refusal degrades");
+        assert_eq!(report.restore_refusals, 1);
+        assert_eq!(report.restored_replicas, 0);
+        assert!(
+            report.restored_blocks > 0,
+            "the copy ran up to the bad block"
+        );
+        // Nothing was laundered: the replica stays lost and its
+        // half-written copy is gone.
+        assert!(!c.restorable_lost());
+        assert_eq!(c.catalog().title(id).replicas[0].state, ReplicaState::Lost);
+        assert!(c.members()[0].mrs().msm().strand_ids().is_empty());
         assert!(c.fsck_member(0, Instant::from_nanos(u64::MAX / 4)).clean());
     }
 }

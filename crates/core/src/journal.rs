@@ -34,7 +34,7 @@
 //!   slots may be reused; the writer refuses to lap a live record
 //!   ([`crate::FsError::JournalCorrupt`] "journal full").
 //!
-//! Both structures carry an FNV-1a-64 checksum over their encoded
+//! Both structures carry a checksum ([`fnv1a`]) over their encoded
 //! bytes; a torn record or checkpoint write fails its checksum and is
 //! treated as absent (for a record: end of log; for a checkpoint: fall
 //! back to the other slot).
@@ -57,18 +57,9 @@ const RECORD_MAGIC: u32 = 0x4C4A_5453; // "STJL"
 /// Magic tag opening every checkpoint.
 const CKPT_MAGIC: u32 = 0x4B43_5453; // "STCK"
 
-/// FNV-1a-64 over a byte slice — the journal's integrity check (same
-/// parameters as the device image hash, no external dependency).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+/// The journal's integrity check: the crate-wide checksum, re-exported
+/// where the journal's callers have always found it.
+pub use strandfs_units::fnv1a;
 
 /// Journal sizing, carried in [`crate::msm::MsmConfig`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -121,7 +112,7 @@ pub enum Record {
         unit_bits: u64,
     },
     /// Intent to append a stored media block: the extent was allocated
-    /// and the payload (whose FNV-1a sum is recorded) is about to be
+    /// and the payload (whose checksum is recorded) is about to be
     /// written. Recovery verifies the sum to detect torn data writes.
     Append {
         /// The strand's raw id.
@@ -134,7 +125,7 @@ pub enum Record {
         sectors: u64,
         /// Media units the block carries.
         units: u64,
-        /// FNV-1a-64 of the padded payload as stored on disk.
+        /// Checksum ([`fnv1a`]) of the padded payload as stored on disk.
         payload_sum: u64,
     },
     /// A silence hole was appended (no data write to verify).

@@ -28,7 +28,7 @@ use strandfs_disk::{
     FaultStats, GapBounds, SeekModel, SimDisk,
 };
 use strandfs_obs::{Event, JournalOp, ObsSink};
-use strandfs_units::{Instant, Nanos, Seconds};
+use strandfs_units::{Checksum, Instant, Nanos, Seconds};
 
 /// Transient retries granted to non-real-time reads (index loads,
 /// healing copies): these paths have no playback deadline, so a small
@@ -564,16 +564,29 @@ impl Msm {
         let sectors = payload.len().div_ceil(sector_size).max(1) as u64;
         // The stamped checksum covers the *padded* on-disk payload — the
         // exact bytes `fetch_sum` will hash back — matching the journal's
-        // `payload_sum` convention.
-        let mut padded;
-        let data = if payload.len() == sectors as usize * sector_size {
-            payload
-        } else {
-            padded = payload.to_vec();
-            padded.resize(sectors as usize * sector_size, 0);
-            &padded[..]
-        };
-        let sum = journal::fnv1a(data);
+        // `payload_sum` convention. The pad is hashed, never copied: the
+        // device zero-fills the extent's tail itself.
+        let mut h = Checksum::new();
+        h.write(payload);
+        h.write_zeros(sectors as usize * sector_size - payload.len());
+        self.append_stamped_block(id, now, payload, units, h.finish())
+    }
+
+    /// [`Msm::append_block`] with the stamp supplied by the caller:
+    /// `sum` must be the checksum of `payload` zero-padded to whole
+    /// sectors. A copy whose bytes were just checked against the source
+    /// block's stamp passes that stamp, so each copied byte is hashed
+    /// once.
+    pub fn append_stamped_block(
+        &mut self,
+        id: StrandId,
+        now: Instant,
+        payload: &[u8],
+        units: u64,
+        sum: u64,
+    ) -> Result<(BlockNo, DiskOp), FsError> {
+        let sector_size = self.disk.geometry().sector_size.get() as usize;
+        let sectors = payload.len().div_ceil(sector_size).max(1) as u64;
         let builder = self.recording_mut(id)?;
         let anchor = builder.last_stored();
         let extent = match anchor {
@@ -616,7 +629,7 @@ impl Msm {
                 t = op.completed;
             }
         }
-        self.disk.store_data(extent, data);
+        self.disk.store_data(extent, payload);
         let op = self.timed_write(t, extent)?;
         Ok((block_no, op))
     }
@@ -1384,6 +1397,13 @@ impl Msm {
     /// Copy `count` media blocks of `src` starting at `first_block` into
     /// a brand-new strand whose blocks are allocated under the scattering
     /// constraint, anchored after `anchor` (or first-fit when `None`).
+    ///
+    /// Each source payload is verified against its stamp before it is
+    /// copied, and the copy carries that same stamp; an unstamped
+    /// ([`NO_SUM`]) source is stamped fresh. A source that fails its
+    /// stamp aborts the copy with [`FsError::ChecksumMismatch`], leaving
+    /// no trace of the new strand — a copy must never launder
+    /// corruption into a freshly stamped block.
     pub fn copy_blocks_to_new_strand(
         &mut self,
         src: StrandId,
@@ -1410,11 +1430,19 @@ impl Msm {
                     let data = self.fetch_checked(e, "media extent beyond device")?;
                     let read_op = self.timed_read_bg(t, e)?;
                     t = read_op.completed;
+                    let sum = journal::fnv1a(&data);
+                    let stamp = self.strand(src)?.block_sum(n)?;
+                    if stamp != NO_SUM && stamp != sum {
+                        self.abort_strand(new_id)?;
+                        return Err(FsError::ChecksumMismatch {
+                            lba: e.start,
+                            sectors: e.sectors,
+                        });
+                    }
                     let dst = match prev {
                         Some(p) => self.alloc.allocate_after(p, e.sectors)?,
                         None => self.alloc.allocate_first(e.sectors)?,
                     };
-                    let sum = journal::fnv1a(&data);
                     self.disk.store_data(dst, &data);
                     let write_op = self.timed_write(t, dst)?;
                     t = write_op.completed;
@@ -1647,12 +1675,7 @@ impl Msm {
             for (append, units) in blocks {
                 match append {
                     Some(a) if intact => {
-                        let verified = msm
-                            .disk
-                            .try_fetch(a.extent)
-                            .map(|d| journal::fnv1a(&d) == a.payload_sum)
-                            .unwrap_or(false);
-                        if verified {
+                        if msm.disk.fetch_sum(a.extent) == Some(a.payload_sum) {
                             t = msm.timed_read_bg(t, a.extent)?.completed;
                             msm.alloc.adopt(a.extent);
                             // The journaled sum just verified against the
@@ -1742,7 +1765,7 @@ type ReplayBlocks = Vec<(Option<ReplayAppend>, u64)>;
 #[cfg(test)]
 mod tests {
     use super::*;
-    use strandfs_disk::DiskGeometry;
+    use strandfs_disk::{DiskGeometry, FaultInjector};
     use strandfs_media::Medium;
     use strandfs_units::Bits;
 
@@ -1927,6 +1950,42 @@ mod tests {
             let (copy, _) = m.read_block(new_id, i, Instant::EPOCH).unwrap();
             assert_eq!(orig, copy, "block {i} differs");
         }
+    }
+
+    #[test]
+    fn copy_refuses_a_corrupt_source_instead_of_restamping_it() {
+        let disk = FaultInjector::new(
+            SimDisk::new(DiskGeometry::vintage_1991(), SeekModel::vintage_1991()),
+            FaultPlan::clean(),
+            3,
+        );
+        let bounds = GapBounds {
+            min_sectors: 0,
+            max_sectors: 40_000,
+        };
+        let mut m = Msm::new(disk, MsmConfig::constrained(bounds, 7));
+        let src = record_video(&mut m, 6);
+        let bad = m.strand(src).unwrap().block(2).unwrap().unwrap();
+        assert!(m.arm_faults(FaultPlan::clean().with_silent_corruption(bad)));
+        let (ids, used) = (m.strand_ids(), m.utilization());
+        let err = m
+            .copy_blocks_to_new_strand(src, 0, 6, None, Instant::EPOCH)
+            .unwrap_err();
+        assert!(
+            matches!(err, FsError::ChecksumMismatch { lba, .. } if lba == bad.start),
+            "{err:?}"
+        );
+        assert_eq!(m.strand_ids(), ids, "the refused copy leaves no strand");
+        assert_eq!(m.utilization(), used, "and no allocated blocks");
+        // A clean range still copies, carrying the source stamps.
+        let copy = m
+            .copy_blocks_to_new_strand(src, 0, 2, None, Instant::EPOCH)
+            .unwrap();
+        assert_eq!(
+            m.strand(copy).unwrap().sums(),
+            &m.strand(src).unwrap().sums()[..2]
+        );
+        assert_eq!(m.check_block_sum(copy, 1).unwrap(), Some(true));
     }
 
     #[test]

@@ -26,25 +26,30 @@ pub const NULL_SECTOR: u64 = u64::MAX;
 
 /// Sentinel payload checksum for entries that carry none: silence holes
 /// and strands built by paths that never saw the payload bytes.
-/// Verification skips these entries. (FNV-1a of real data collides with
-/// 0 with probability 2⁻⁶⁴ — an acceptable sentinel.)
+/// Verification skips these entries. (A real payload's checksum is 0
+/// with probability about 2⁻⁶⁴, an acceptable sentinel.)
 pub const NO_SUM: u64 = 0;
 
 const PRIMARY_MAGIC: u32 = 0x5342_4c50; // "PBLS"
 const SECONDARY_MAGIC: u32 = 0x5342_4c53; // "SBLS"
 const HEADER_MAGIC: u32 = 0x5342_4c48; // "HBLS"
-const VERSION: u16 = 1;
+/// Format version, carried by the header block. Version 2 stamps
+/// [`PrimaryEntry::sum`] with the word-wise checksum
+/// ([`strandfs_units::fnv1a`]); version 1 stamped byte-wise FNV-1a and
+/// is refused rather than failing every verification.
+const VERSION: u16 = 2;
 
 /// One entry of a Primary Block: where media block `i` lives and the
-/// FNV-1a checksum of its stored (sector-padded) payload.
+/// checksum of its stored (sector-padded) payload.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct PrimaryEntry {
     /// First sector of the media block, or [`NULL_SECTOR`] for silence.
     pub sector: u64,
     /// Length of the media block in sectors (0 for silence).
     pub sector_count: u32,
-    /// FNV-1a sum of the block's stored payload, stamped at write time;
-    /// [`NO_SUM`] for silence and unstamped entries.
+    /// Checksum ([`strandfs_units::fnv1a`]) of the block's stored,
+    /// sector-padded payload, stamped at write time; [`NO_SUM`] for
+    /// silence and unstamped entries.
     pub sum: u64,
 }
 

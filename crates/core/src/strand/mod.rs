@@ -54,9 +54,9 @@ pub struct Strand {
     id: StrandId,
     meta: StrandMeta,
     blocks: Vec<Option<Extent>>,
-    /// FNV-1a checksum of each block's padded on-disk payload, parallel
-    /// to `blocks` ([`index::NO_SUM`] for silence holes and unstamped
-    /// blocks).
+    /// Checksum ([`strandfs_units::fnv1a`]) of each block's padded
+    /// on-disk payload, parallel to `blocks` ([`index::NO_SUM`] for
+    /// silence holes and unstamped blocks).
     sums: Vec<u64>,
     unit_count: u64,
     /// Where the strand's on-disk index lives (header, secondaries,
@@ -238,7 +238,7 @@ impl StrandBuilder {
     }
 
     /// Append a stored media block of `units` media units at `extent`,
-    /// stamped with the FNV-1a checksum of its padded on-disk payload
+    /// stamped with the checksum of its padded on-disk payload
     /// (pass [`index::NO_SUM`] to leave the block unstamped).
     pub fn push_block(&mut self, extent: Extent, units: u64, sum: u64) -> Result<BlockNo, FsError> {
         self.push(Some(extent), units, sum)

@@ -4,24 +4,12 @@
 use crate::geometry::{DiskGeometry, Extent, Lba};
 use crate::seek::SeekModel;
 use crate::trace::DiskStats;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Bound::Excluded;
 use strandfs_obs::{AccessDir, Event, ObsSink};
-use strandfs_units::{Instant, Nanos, Seconds};
+use strandfs_units::{Checksum, Instant, Nanos, Seconds};
 
-/// FNV-1a-64 over a byte slice — the crate-wide payload checksum (the
-/// same parameters as [`SimDisk::content_hash`], no external
-/// dependency). Every stored media block's sum is computed with this
-/// function at write time and re-checked on verified reads and scrubs.
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(PRIME);
-    }
-    h
-}
+pub use strandfs_units::fnv1a;
 
 /// Whether an access reads or writes the medium.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -75,14 +63,20 @@ impl DiskOp {
 /// and transfer crosses track/cylinder boundaries paying head-switch and
 /// track-to-track seek costs.
 ///
-/// Sector payloads are stored sparsely; unwritten sectors read back as
-/// zeroes, like a freshly-formatted drive.
+/// Sector payloads are stored sparsely as written runs: one buffer per
+/// stretch of sectors written by one store, keyed by its first LBA.
+/// Runs never overlap; a store inside a run overwrites it in place, and
+/// a store or discard that straddles run boundaries splits the runs it
+/// cuts. Unwritten sectors read back as zeroes, like a freshly-formatted
+/// drive.
 #[derive(Debug)]
 pub struct SimDisk {
     geometry: DiskGeometry,
     seek_model: SeekModel,
     head_cylinder: u64,
-    store: HashMap<Lba, Box<[u8]>>,
+    /// Written runs by first LBA; each buffer is a whole number of
+    /// sectors long.
+    store: BTreeMap<Lba, Box<[u8]>>,
     stats: DiskStats,
     obs: ObsSink,
 }
@@ -95,7 +89,7 @@ impl SimDisk {
             geometry,
             seek_model,
             head_cylinder: 0,
-            store: HashMap::new(),
+            store: BTreeMap::new(),
             stats: DiskStats::default(),
             obs: ObsSink::noop(),
         }
@@ -254,20 +248,63 @@ impl SimDisk {
         total
     }
 
-    /// Write `data` into `extent` (data length must equal the extent's
-    /// byte size). Only the payload store is touched; use [`Self::access`]
-    /// for timing.
+    fn sector_bytes(&self) -> usize {
+        self.geometry.sector_size.get() as usize
+    }
+
+    /// The written bytes inside `extent`, one slice per run, in address
+    /// order, each with the LBA it starts at.
+    fn runs_in(&self, extent: Extent) -> impl Iterator<Item = (Lba, &[u8])> + '_ {
+        let ss = self.sector_bytes();
+        let (s, e) = (extent.start, extent.end());
+        let first = self.store.range(..=s).next_back();
+        // A block read back whole is one run: skip the second search.
+        let covered = first.is_some_and(|(&rs, buf)| rs + (buf.len() / ss) as u64 >= e);
+        let rest = (!covered && e > s + 1)
+            .then(|| self.store.range((Excluded(s), Excluded(e))))
+            .into_iter()
+            .flatten();
+        first.into_iter().chain(rest).filter_map(move |(&rs, buf)| {
+            let (lo, hi) = (rs.max(s), (rs + (buf.len() / ss) as u64).min(e));
+            (lo < hi).then(|| (lo, &buf[(lo - rs) as usize * ss..(hi - rs) as usize * ss]))
+        })
+    }
+
+    /// Write `data` into `extent`. Only the payload store is touched; use
+    /// [`Self::access`] for timing.
+    ///
+    /// `data` may stop short of the extent's end by less than one sector
+    /// (a one-sector extent takes any payload up to a sector, the empty
+    /// one included); the rest of the extent is zero-filled.
     pub fn store_data(&mut self, extent: Extent, data: &[u8]) {
-        let ss = self.geometry.sector_size.get() as usize;
-        assert_eq!(
-            data.len(),
-            ss * extent.sectors as usize,
-            "payload length must match extent size"
+        let ss = self.sector_bytes();
+        let len = ss * extent.sectors as usize;
+        assert!(
+            data.len() <= len && (len - data.len() < ss || extent.sectors == 1),
+            "payload length must reach the extent's last sector"
         );
-        for (i, chunk) in data.chunks(ss).enumerate() {
-            self.store
-                .insert(extent.start + i as u64, chunk.to_vec().into_boxed_slice());
+        if extent.sectors == 0 {
+            return;
         }
+        let (s, e) = (extent.start, extent.end());
+        // The last run starting before `e` is the only candidate to
+        // contain the extent, and if it ends by `s` nothing overlaps.
+        if let Some((&rs, buf)) = self.store.range_mut(..e).next_back() {
+            let rend = rs + (buf.len() / ss) as u64;
+            if rs <= s && rend >= e {
+                let off = (s - rs) as usize * ss;
+                buf[off..off + data.len()].copy_from_slice(data);
+                buf[off + data.len()..off + len].fill(0);
+                return;
+            }
+            if rend > s {
+                self.discard_data(extent);
+            }
+        }
+        let mut run = Vec::with_capacity(len);
+        run.extend_from_slice(data);
+        run.resize(len, 0);
+        self.store.insert(s, run.into_boxed_slice());
     }
 
     /// Read the payload of `extent`, or `None` if any part of the extent
@@ -283,19 +320,17 @@ impl SimDisk {
 
     /// Read the payload of `extent`; unwritten sectors come back zeroed.
     pub fn fetch_data(&self, extent: Extent) -> Vec<u8> {
-        let ss = self.geometry.sector_size.get() as usize;
+        let ss = self.sector_bytes();
         let mut out = vec![0u8; ss * extent.sectors as usize];
-        for i in 0..extent.sectors {
-            if let Some(sector) = self.store.get(&(extent.start + i)) {
-                let off = i as usize * ss;
-                out[off..off + ss].copy_from_slice(sector);
-            }
+        for (lba, bytes) in self.runs_in(extent) {
+            let off = (lba - extent.start) as usize * ss;
+            out[off..off + bytes.len()].copy_from_slice(bytes);
         }
         out
     }
 
-    /// FNV-1a sum of the payload of `extent` (unwritten sectors count
-    /// as zeroes), or `None` off-device — [`fnv1a`] of
+    /// Checksum ([`fnv1a`]) of the payload of `extent`, unwritten
+    /// sectors counting as zeroes, or `None` off-device: the sum of
     /// [`SimDisk::try_fetch`] without materializing the copy. The
     /// verified-read and scrub paths call this per block, so it must
     /// not allocate.
@@ -303,59 +338,67 @@ impl SimDisk {
         if !self.geometry.extent_valid(extent) {
             return None;
         }
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let ss = self.geometry.sector_size.get() as usize;
-        let mut h = OFFSET;
-        for i in 0..extent.sectors {
-            match self.store.get(&(extent.start + i)) {
-                Some(sector) => {
-                    for &b in sector.iter() {
-                        h ^= b as u64;
-                        h = h.wrapping_mul(PRIME);
-                    }
-                }
-                None => {
-                    for _ in 0..ss {
-                        h = h.wrapping_mul(PRIME);
-                    }
-                }
-            }
+        let ss = self.sector_bytes();
+        let mut h = Checksum::new();
+        let mut at = extent.start;
+        for (lba, bytes) in self.runs_in(extent) {
+            h.write_zeros((lba - at) as usize * ss);
+            h.write(bytes);
+            at = lba + (bytes.len() / ss) as u64;
         }
-        Some(h)
+        h.write_zeros((extent.end() - at) as usize * ss);
+        Some(h.finish())
     }
 
-    /// Drop the payload of `extent` (models discard; timing-neutral).
+    /// Drop the payload of `extent` (models discard; timing-neutral),
+    /// splitting the runs that straddle its ends.
     pub fn discard_data(&mut self, extent: Extent) {
-        for i in 0..extent.sectors {
-            self.store.remove(&(extent.start + i));
+        let ss = self.sector_bytes();
+        let (s, e) = (extent.start, extent.end());
+        if s == e {
+            return;
+        }
+        let sectors = |buf: &[u8]| (buf.len() / ss) as u64;
+        if let Some((&rs, buf)) = self.store.range(..s).next_back() {
+            if rs + sectors(buf) > s {
+                let mut head = self.store.remove(&rs).expect("run just found").into_vec();
+                if rs + sectors(&head) > e {
+                    let tail = head[(e - rs) as usize * ss..].into();
+                    self.store.insert(e, tail);
+                }
+                head.truncate((s - rs) as usize * ss);
+                self.store.insert(rs, head.into_boxed_slice());
+            }
+        }
+        while let Some((&rs, _)) = self.store.range(s..e).next() {
+            let buf = self.store.remove(&rs).expect("run just found");
+            if rs + sectors(&buf) > e {
+                self.store.insert(e, buf[(e - rs) as usize * ss..].into());
+            }
         }
     }
 
     /// Number of sectors currently holding written payloads.
     pub fn sectors_written(&self) -> usize {
-        self.store.len()
+        self.store.values().map(|b| b.len()).sum::<usize>() / self.sector_bytes()
     }
 
-    /// FNV-1a hash over every written sector in address order: a stable
-    /// fingerprint of the device image for byte-identity assertions
-    /// (crash-point determinism — same plan, seed and access sequence
-    /// must freeze byte-identical post-crash images).
+    /// Checksum over every written sector in address order, each as its
+    /// LBA (little-endian) followed by its bytes: a stable fingerprint
+    /// of the device image for byte-identity assertions (crash-point
+    /// determinism — same plan, seed and access sequence must freeze
+    /// byte-identical post-crash images). How the sectors are split
+    /// into runs does not enter the sum.
     pub fn content_hash(&self) -> u64 {
-        const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-        const PRIME: u64 = 0x0000_0100_0000_01b3;
-        let mut lbas: Vec<Lba> = self.store.keys().copied().collect();
-        lbas.sort_unstable();
-        let mut h = OFFSET;
-        for lba in lbas {
-            for byte in lba.to_le_bytes() {
-                h = (h ^ byte as u64).wrapping_mul(PRIME);
-            }
-            for &byte in self.store[&lba].iter() {
-                h = (h ^ byte as u64).wrapping_mul(PRIME);
+        let ss = self.sector_bytes();
+        let mut h = Checksum::new();
+        for (&rs, buf) in &self.store {
+            for (lba, sector) in (rs..).zip(buf.chunks_exact(ss)) {
+                h.write(&lba.to_le_bytes());
+                h.write(sector);
             }
         }
-        h
+        h.finish()
     }
 }
 
@@ -492,6 +535,49 @@ mod tests {
         // Off-device is a corrupt pointer, not a panic.
         let total = d.geometry().total_sectors();
         assert_eq!(d.fetch_sum(Extent::new(total - 1, 2)), None);
+    }
+
+    #[test]
+    fn run_splits_do_not_enter_sums_or_images() {
+        let data: Vec<u8> = (0..8 * 512).map(|i| (i % 253) as u8).collect();
+        let e = Extent::new(40, 8);
+        let mut whole = disk();
+        whole.store_data(e, &data);
+        let mut pieces = disk();
+        for (i, sector) in data.chunks(512).enumerate().rev() {
+            pieces.store_data(Extent::new(40 + i as u64, 1), sector);
+        }
+        assert_eq!(whole.content_hash(), pieces.content_hash());
+        assert_eq!(whole.fetch_sum(e), pieces.fetch_sum(e));
+        assert_eq!(whole.fetch_data(e), pieces.fetch_data(e));
+        assert_eq!(pieces.sectors_written(), 8);
+        // A discard through the middle splits the run; rewriting the
+        // hole restores the image exactly.
+        whole.discard_data(Extent::new(42, 3));
+        assert_eq!(whole.sectors_written(), 5);
+        assert_ne!(whole.content_hash(), pieces.content_hash());
+        whole.store_data(Extent::new(42, 3), &data[2 * 512..5 * 512]);
+        assert_eq!(whole.content_hash(), pieces.content_hash());
+    }
+
+    #[test]
+    fn short_payload_is_zero_filled_to_the_extent() {
+        let mut d = disk();
+        let e = Extent::new(7, 2);
+        d.store_data(e, &vec![0xFF; 2 * 512]);
+        d.store_data(e, &[0xAB; 600]);
+        let mut want = vec![0xAB; 600];
+        want.resize(1024, 0);
+        assert_eq!(d.fetch_data(e), want);
+        assert_eq!(d.fetch_sum(e), Some(fnv1a(&want)));
+        d.store_data(Extent::new(30, 1), &[]);
+        assert_eq!(d.sectors_written(), 3, "an empty payload fills one sector");
+    }
+
+    #[test]
+    #[should_panic(expected = "payload length must reach the extent's last sector")]
+    fn payload_a_sector_short_is_refused() {
+        disk().store_data(Extent::new(0, 2), &[1; 512]);
     }
 
     #[test]

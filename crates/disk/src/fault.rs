@@ -314,12 +314,13 @@ pub trait BlockDevice {
     /// timing. Panics if the extent is off-device (a file-system bug,
     /// not an I/O error — validate with [`DiskGeometry::extent_valid`]).
     fn access(&mut self, now: Instant, extent: Extent, kind: AccessKind) -> AccessResult;
-    /// Write `data` into `extent` (length must match the extent).
+    /// Write `data` into `extent`. `data` may stop short of the
+    /// extent's end by less than one sector; the rest is zero-filled.
     fn store_data(&mut self, extent: Extent, data: &[u8]);
     /// Read the payload of `extent`; `None` if the extent is off-device.
     /// Unwritten sectors read back zeroed.
     fn try_fetch(&self, extent: Extent) -> Option<Vec<u8>>;
-    /// FNV-1a sum of the payload of `extent` ([`crate::fnv1a`] of
+    /// Checksum of the payload of `extent` ([`crate::fnv1a`] of
     /// [`BlockDevice::try_fetch`]), or `None` off-device — the cheap
     /// primitive behind verified reads and scrubbing. Implementations
     /// should hash in place rather than copy.
@@ -352,8 +353,9 @@ pub trait BlockDevice {
     fn power_cycle(&mut self) -> bool {
         false
     }
-    /// Stable FNV-1a fingerprint of the written device image, for
-    /// byte-identity assertions across crash replays.
+    /// Stable checksum of the written device image (every written
+    /// sector with its LBA, in address order), for byte-identity
+    /// assertions across crash replays.
     fn content_hash(&self) -> u64;
 }
 
@@ -1117,5 +1119,119 @@ mod tests {
         assert!(dev
             .access(Instant::EPOCH, Extent::new(0, 1), AccessKind::Read)
             .is_err());
+    }
+
+    /// The run store against a per-sector reference: what each sector
+    /// holds, if anything.
+    #[derive(Default)]
+    struct SectorModel(std::collections::BTreeMap<Lba, Vec<u8>>);
+
+    impl SectorModel {
+        fn store(&mut self, e: Extent, data: &[u8]) {
+            let mut padded = data.to_vec();
+            padded.resize(e.sectors as usize * 512, 0);
+            for (lba, sector) in (e.start..).zip(padded.chunks(512)) {
+                self.0.insert(lba, sector.to_vec());
+            }
+        }
+
+        fn discard(&mut self, e: Extent) {
+            for lba in e.start..e.end() {
+                self.0.remove(&lba);
+            }
+        }
+
+        fn written_in(&self, e: Extent) -> u64 {
+            self.0.range(e.start..e.end()).count() as u64
+        }
+
+        fn bytes(&self, e: Extent) -> Vec<u8> {
+            (e.start..e.end())
+                .flat_map(|lba| self.0.get(&lba).cloned().unwrap_or(vec![0; 512]))
+                .collect()
+        }
+
+        fn content_hash(&self) -> u64 {
+            let mut h = strandfs_units::Checksum::new();
+            for (lba, sector) in &self.0 {
+                h.write(&lba.to_le_bytes());
+                h.write(sector);
+            }
+            h.finish()
+        }
+    }
+
+    #[test]
+    fn run_store_matches_a_per_sector_model() {
+        // Writes touching [96, 112) are torn; everything else lands.
+        let torn = Extent::new(96, 16);
+        for seed in 0..4u64 {
+            let mut inj =
+                FaultInjector::new(base_disk(), FaultPlan::clean().with_torn_extent(torn), seed);
+            let mut model = SectorModel::default();
+            let mut rng = Prng::seed_from_u64(seed);
+            let mut recent: Vec<Extent> = Vec::new();
+            let mut t = Instant::EPOCH;
+            let mut tears = 0;
+            for step in 0..400 {
+                let kind = rng.bounded_u64(5);
+                let e = match (kind, recent.last()) {
+                    // Inside a run written earlier.
+                    (0, Some(&r)) => {
+                        let off = rng.bounded_u64(r.sectors);
+                        Extent::new(r.start + off, 1 + rng.bounded_u64(r.sectors - off))
+                    }
+                    // Anywhere: into gaps, straddling runs, or torn.
+                    _ => Extent::new(rng.bounded_u64(120), 1 + rng.bounded_u64(8)),
+                };
+                if kind == 1 {
+                    inj.discard_data(e);
+                    model.discard(e);
+                } else {
+                    let short = rng.bounded_u64(512) as usize;
+                    let len = (e.sectors as usize * 512 - short).max(1);
+                    let mut data = vec![0u8; len];
+                    rng.fill_bytes(&mut data);
+                    let (before, had) = (inj.sectors_written() as u64, model.written_in(e));
+                    inj.store_data(e, &data);
+                    model.store(e, &data);
+                    if kind == 2 {
+                        match inj.access(t, e, AccessKind::Write) {
+                            Ok(op) => t = op.completed,
+                            Err(f) => {
+                                assert_eq!(f.kind, FaultKind::Torn);
+                                t = f.op.completed;
+                                // The tear kept a prefix of `kept` sectors.
+                                let kept = inj.sectors_written() as u64 + had - before;
+                                assert!(kept < e.sectors, "step {step}: a tear lands short");
+                                model.discard(Extent::new(e.start + kept, e.sectors - kept));
+                                tears += 1;
+                            }
+                        }
+                    }
+                    recent.push(e);
+                }
+                let probe = Extent::new(rng.bounded_u64(112), 1 + rng.bounded_u64(16));
+                for x in [e, probe] {
+                    assert_eq!(
+                        inj.try_fetch(x),
+                        Some(model.bytes(x)),
+                        "seed {seed} step {step}"
+                    );
+                    assert_eq!(inj.fetch_sum(x), Some(crate::fnv1a(&model.bytes(x))));
+                }
+                assert_eq!(
+                    inj.sectors_written(),
+                    model.0.len(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(
+                    inj.content_hash(),
+                    model.content_hash(),
+                    "seed {seed} step {step}"
+                );
+            }
+            assert!(tears > 0, "seed {seed} exercised no tear");
+        }
     }
 }

@@ -113,8 +113,9 @@ pub struct SweepSummary {
     pub deleted_strands: u64,
     /// Total virtual recovery time across all crash points, ns.
     pub recovery_ns_total: u64,
-    /// FNV-1a fold of every post-recovery image hash, in crash-index
-    /// order — one number pinning the whole sweep's byte-level outcome.
+    /// Checksum (`fnv1a`) of every post-recovery image hash, in
+    /// crash-index order — one number pinning the whole sweep's
+    /// byte-level outcome.
     pub fingerprint: u64,
     /// Per-crash-point outcomes, in crash-index order.
     pub outcomes: Vec<CrashOutcome>,

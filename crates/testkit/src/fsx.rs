@@ -671,7 +671,7 @@ pub struct FsxOutcome {
     pub ropes_final: u64,
     /// Device sector-writes issued (at crash time for crashed runs).
     pub device_writes: u64,
-    /// FNV-1a over the op log — the "same op log" fingerprint.
+    /// Checksum (`fnv1a`) of the op log — the "same op log" fingerprint.
     pub op_log_hash: u64,
     /// Device image fingerprint at the end (post-recovery when
     /// crashed, before the writability probe).

@@ -14,17 +14,22 @@
 //! * [`BitRate`], [`FrameRate`], [`SampleRate`] — rates.
 //! * [`Prng`] — a seeded, dependency-free xoshiro256** generator used by
 //!   every synthetic device and workload for reproducible experiments.
+//! * [`fnv1a`] / [`Checksum`] — the one checksum every integrity check
+//!   uses (a word-wise FNV-1a variant over four lanes, one-shot and
+//!   streaming).
 //!
 //! Conversions between the exact and analytic domains are explicit.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+pub mod checksum;
 pub mod prng;
 mod rate;
 mod size;
 mod time;
 
+pub use checksum::{fnv1a, Checksum};
 pub use prng::Prng;
 pub use rate::{BitRate, FrameRate, SampleRate};
 pub use size::{Bits, Bytes};

@@ -6,6 +6,7 @@
 //! `STRANDFS_TEST_CASES` to rescale) and failures are shrunk before
 //! being reported.
 
+use std::collections::BTreeMap;
 use strandfs::core::admission::{Aggregates, RequestSpec, ServiceEnv};
 use strandfs::core::rope::edit::{self, Interval, MediaSel};
 use strandfs::core::rope::{Rope, Segment, StrandRef};
@@ -14,8 +15,11 @@ use strandfs::core::strand::index::{
     SecondaryEntry,
 };
 use strandfs::core::{RopeId, StrandId};
-use strandfs::disk::{AllocPolicy, Allocator, Extent, GapBounds};
-use strandfs::units::{BitRate, Bits, Nanos, Seconds};
+use strandfs::disk::{
+    AccessKind, AllocPolicy, Allocator, BlockDevice, DiskGeometry, Extent, FaultInjector,
+    FaultPlan, GapBounds, SeekModel, SimDisk,
+};
+use strandfs::units::{fnv1a, BitRate, Bits, Checksum, Instant, Nanos, Seconds};
 use strandfs_testkit::{
     any_bool, check, check_with, prop_assert, prop_assert_eq, prop_assume, vec as prop_vec,
     CaseError, Config,
@@ -509,6 +513,144 @@ fn admission_k_and_nmax_behave() {
                 // And the feasibility predicates agree with the formulas.
                 prop_assert!(agg.steady_feasible(n, ks));
                 prop_assert!(agg.transient_feasible(n, kt));
+            }
+            Ok(())
+        },
+    );
+}
+
+// ---------- checksum and sector store ----------
+
+/// `(zeros, len, seed)` pieces: a zero run or `len` patterned bytes.
+fn piece_bytes(&(zeros, len, seed): &(bool, usize, u8)) -> Vec<u8> {
+    if zeros {
+        vec![0; len]
+    } else {
+        (0..len)
+            .map(|i| seed.wrapping_add((i as u8).wrapping_mul(67)))
+            .collect()
+    }
+}
+
+#[test]
+fn checksum_is_split_invariant() {
+    check(
+        "checksum_is_split_invariant",
+        prop_vec((any_bool(), 0usize..90, 0u8..=255), 0..10),
+        |pieces| {
+            let mut h = Checksum::new();
+            let mut whole = Vec::new();
+            for p in pieces {
+                let bytes = piece_bytes(p);
+                if p.0 {
+                    h.write_zeros(bytes.len());
+                } else {
+                    h.write(&bytes);
+                }
+                whole.extend(bytes);
+            }
+            prop_assert_eq!(h.finish(), fnv1a(&whole));
+            Ok(())
+        },
+    );
+}
+
+#[test]
+fn checksum_detects_bit_flips_and_sector_swaps() {
+    check(
+        "checksum_detects_bit_flips_and_sector_swaps",
+        (0u8..=255, 0usize..2 * 512 * 8, 0usize..2 * 512 * 8),
+        |&(seed, bit, other)| {
+            // Two distinct sectors, so that swapping them changes the bytes.
+            let mut block = piece_bytes(&(false, 512, seed));
+            block.extend(piece_bytes(&(false, 512, seed.wrapping_add(1))));
+            let clean = fnv1a(&block);
+            let mut flipped = block.clone();
+            flipped[bit / 8] ^= 1 << (bit % 8);
+            prop_assert!(fnv1a(&flipped) != clean);
+            if other != bit {
+                flipped[other / 8] ^= 1 << (other % 8);
+                prop_assert!(fnv1a(&flipped) != clean);
+            }
+            let mut swapped = block[512..].to_vec();
+            swapped.extend_from_slice(&block[..512]);
+            prop_assert!(fnv1a(&swapped) != clean);
+            Ok(())
+        },
+    );
+}
+
+/// The per-sector reference the run store is checked against.
+fn model_bytes(model: &BTreeMap<u64, Vec<u8>>, e: Extent) -> Vec<u8> {
+    (e.start..e.end())
+        .flat_map(|lba| model.get(&lba).cloned().unwrap_or(vec![0; 512]))
+        .collect()
+}
+
+#[test]
+fn sector_runs_match_a_per_sector_model() {
+    // `(kind, start, sectors, short, fill)`: kind 0 stores anywhere
+    // (gaps, straddles), 1 stores inside the previous store's extent,
+    // 2 discards, 3 stores and times the write — torn inside [96, 112).
+    check(
+        "sector_runs_match_a_per_sector_model",
+        prop_vec((0u8..4, 0u64..120, 1u64..9, 0usize..512, 0u8..=255), 1..40),
+        |ops| {
+            let torn = Extent::new(96, 16);
+            let disk = SimDisk::new(DiskGeometry::tiny_test(), SeekModel::vintage_1991());
+            let mut dev = FaultInjector::new(disk, FaultPlan::clean().with_torn_extent(torn), 1);
+            let mut model: BTreeMap<u64, Vec<u8>> = BTreeMap::new();
+            let mut last = Extent::new(0, 8);
+            let mut t = Instant::EPOCH;
+            for &(kind, start, sectors, short, fill) in ops {
+                let e = if kind == 1 {
+                    let off = start % last.sectors;
+                    Extent::new(last.start + off, 1 + sectors % (last.sectors - off))
+                } else {
+                    Extent::new(start, sectors)
+                };
+                if kind == 2 {
+                    dev.discard_data(e);
+                    for lba in e.start..e.end() {
+                        model.remove(&lba);
+                    }
+                } else {
+                    let len = (e.sectors as usize * 512 - short).max(1);
+                    let data = piece_bytes(&(false, len, fill));
+                    let had = model.range(e.start..e.end()).count();
+                    let before = dev.sectors_written();
+                    dev.store_data(e, &data);
+                    let mut padded = data.clone();
+                    padded.resize(e.sectors as usize * 512, 0);
+                    for (lba, s) in (e.start..).zip(padded.chunks(512)) {
+                        model.insert(lba, s.to_vec());
+                    }
+                    if kind == 3 {
+                        match dev.access(t, e, AccessKind::Write) {
+                            Ok(op) => t = op.completed,
+                            Err(f) => {
+                                t = f.op.completed;
+                                let kept = (dev.sectors_written() + had - before) as u64;
+                                prop_assert!(kept < e.sectors);
+                                for lba in e.start + kept..e.end() {
+                                    model.remove(&lba);
+                                }
+                            }
+                        }
+                    }
+                    last = e;
+                }
+                for x in [e, Extent::new(0, 128)] {
+                    prop_assert_eq!(dev.try_fetch(x), Some(model_bytes(&model, x)));
+                    prop_assert_eq!(dev.fetch_sum(x), Some(fnv1a(&model_bytes(&model, x))));
+                }
+                prop_assert_eq!(dev.sectors_written(), model.len());
+                let mut h = Checksum::new();
+                for (lba, s) in &model {
+                    h.write(&lba.to_le_bytes());
+                    h.write(s);
+                }
+                prop_assert_eq!(dev.content_hash(), h.finish());
             }
             Ok(())
         },
