@@ -16,7 +16,7 @@ use strandfs_core::mrs::compile_schedule;
 use strandfs_core::msm::MsmConfig;
 use strandfs_core::rope::edit::{Interval, MediaSel};
 use strandfs_disk::{DiskGeometry, GapBounds, SeekModel};
-use strandfs_sim::playback::{simulate_with_arrivals, Arrival};
+use strandfs_sim::playback::{simulate_degraded, Arrival, DegradeMode, ServiceOrder};
 use strandfs_sim::{volume_on, ClipSpec, SimReport};
 
 /// The complete admission policy being simulated.
@@ -126,7 +126,7 @@ pub fn run_with_obs(policy: TransitionPolicy, obs: strandfs_obs::ObsSink) -> Out
         at_round: arrival_round,
         schedule: schedules[BASE_STREAMS].clone(),
     };
-    let report = simulate_with_arrivals(
+    let report = simulate_degraded(
         &mut mrs,
         base,
         vec![arrival],
@@ -143,6 +143,8 @@ pub fn run_with_obs(policy: TransitionPolicy, obs: strandfs_obs::ObsSink) -> Out
                 }
             }
         },
+        ServiceOrder::RoundRobin,
+        DegradeMode::Strict,
     )
     .expect("simulate");
     let violations_existing = report.streams[..BASE_STREAMS]

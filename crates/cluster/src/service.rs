@@ -10,29 +10,22 @@
 //! stream switching volumes keeps its epochs, completions and item
 //! offsets, only the strand/block addresses change.
 //!
-//! The per-stream bookkeeping (epochs, deadline accounting, the
-//! degradation ladder) mirrors `strandfs_sim::playback`, which remains
-//! the single-volume reference; the outcome structures are shared so
-//! the SLO reports read identically.
+//! Each stream's turn runs through the same [`StreamState`] and
+//! [`serve_turn`] step as the single-volume loop
+//! (`strandfs_sim::playback`): epochs, deadlines, the drop → revoke
+//! step, display start, re-admission and the final outcome are shared.
+//! This loop brings only what is its own — replica pins, failover,
+//! hedging, read-around repair, scrub, restore and quarantine — with
+//! the per-item fetch passed into the turn step as a closure.
 
 use crate::catalog::TitleId;
 use crate::cluster::{Cluster, RejoinReport};
-use strandfs_core::mrs::PlaySchedule;
 use strandfs_core::msm::{BlockFetch, FetchFailure};
 use strandfs_core::FsError;
-use strandfs_obs::{DegradeAction, Event, ObsSink};
-use strandfs_sim::metrics::{NanosSummary, RoundSample, SimReport, StreamOutcome};
+use strandfs_obs::{Event, ObsSink};
+use strandfs_sim::metrics::SimReport;
+use strandfs_sim::stream::{serve_turn, Fetched, StreamState};
 use strandfs_units::{Instant, Nanos};
-
-/// Signed deadline margin in nanoseconds: positive = early, negative =
-/// late (the same convention as `Event::deadline_margin`).
-fn signed_margin(deadline: Instant, done: Instant) -> i64 {
-    if done <= deadline {
-        (deadline - done).as_nanos() as i64
-    } else {
-        -((done - deadline).as_nanos() as i64)
-    }
-}
 
 /// Configuration of a cluster playback run.
 #[derive(Clone, Copy, Debug)]
@@ -237,237 +230,17 @@ impl ClusterReport {
     }
 }
 
-struct Epoch {
-    first_item: usize,
-    display_start: Option<Instant>,
-    resumed_at: Option<Instant>,
-}
-
-/// Per-stream service state; the cluster-side sibling of
-/// `playback::StreamState`, extended with the replica pin.
+/// A viewer stream: the shared service state plus its replica pin.
 struct CStream {
     title: TitleId,
     replica: usize,
-    schedule: PlaySchedule,
-    completions: Vec<Instant>,
-    fetch_rounds: Vec<u64>,
-    dropped: Vec<bool>,
-    next: usize,
-    read_ahead: u64,
-    service_start: Option<Instant>,
-    epochs: Vec<Epoch>,
-    retries: u64,
-    drops_since_admit: u64,
-    revoked_at: Option<Instant>,
-    revokes: u64,
-    recovery_time: Nanos,
-    deadline_emitted: usize,
     failovers: u64,
-    /// The stream's last fetch completion: later fetches cannot
-    /// complete before it, even when they land on a volume whose clock
-    /// trails (e.g. after a read-around serve from a busier replica).
-    serve_floor: Instant,
+    state: StreamState,
 }
 
-impl CStream {
-    fn new(title: TitleId, replica: usize, schedule: PlaySchedule, read_ahead: u64) -> CStream {
-        let n = schedule.items.len();
-        CStream {
-            title,
-            replica,
-            schedule,
-            completions: Vec::with_capacity(n),
-            fetch_rounds: Vec::with_capacity(n),
-            dropped: Vec::with_capacity(n),
-            next: 0,
-            read_ahead,
-            service_start: None,
-            epochs: vec![Epoch {
-                first_item: 0,
-                display_start: None,
-                resumed_at: None,
-            }],
-            retries: 0,
-            drops_since_admit: 0,
-            revoked_at: None,
-            revokes: 0,
-            recovery_time: Nanos::ZERO,
-            deadline_emitted: 0,
-            failovers: 0,
-            serve_floor: Instant::from_nanos(0),
-        }
-    }
-
-    fn finished(&self) -> bool {
-        self.next >= self.schedule.items.len()
-    }
-
-    fn deadline_of(&self, j: usize) -> Option<Instant> {
-        let ep = self.epochs.iter().rev().find(|e| e.first_item <= j)?;
-        let ds = ep.display_start?;
-        let base = self.schedule.items[ep.first_item].at;
-        Some(ds + (self.schedule.items[j].at - base))
-    }
-
-    fn emit_due_deadlines(&mut self, stream: usize, obs: &ObsSink) {
-        if !obs.is_enabled() {
-            return;
-        }
-        while self.deadline_emitted < self.completions.len() {
-            let j = self.deadline_emitted;
-            if self.dropped[j] {
-                self.deadline_emitted += 1;
-                continue;
-            }
-            let pos = self
-                .epochs
-                .iter()
-                .rposition(|e| e.first_item <= j)
-                .expect("epoch 0 covers every item");
-            match self.epochs[pos].display_start {
-                Some(_) => {
-                    let deadline = self.deadline_of(j).expect("covering epoch has started");
-                    let done = self.completions[j];
-                    let round = self.fetch_rounds[j];
-                    obs.emit(|| Event::Deadline {
-                        stream,
-                        item: j as u64,
-                        round,
-                        deadline,
-                        completed: done,
-                    });
-                    self.deadline_emitted += 1;
-                }
-                None if pos + 1 == self.epochs.len() => break,
-                None => self.deadline_emitted += 1,
-            }
-        }
-    }
-
-    /// Longest run of dropped-or-late schedule items (trailing
-    /// never-serviced items count as dropped).
-    fn miss_burst(&self) -> u64 {
-        let serviced = self.completions.len();
-        let mut burst = 0u64;
-        let mut run = 0u64;
-        for j in 0..self.schedule.items.len() {
-            let missed = if j >= serviced || self.dropped[j] {
-                true
-            } else {
-                self.deadline_of(j)
-                    .map(|d| self.completions[j] > d)
-                    .unwrap_or(false)
-            };
-            if missed {
-                run += 1;
-                burst = burst.max(run);
-            } else {
-                run = 0;
-            }
-        }
-        burst
-    }
-
-    fn outcome(&self, stream: usize, obs: &ObsSink) -> StreamOutcome {
-        let items = &self.schedule.items;
-        let serviced = self.completions.len();
-        debug_assert!(
-            self.completions.windows(2).all(|w| w[0] <= w[1]),
-            "fetch completions must be non-decreasing"
-        );
-        let mut dropped_blocks = (items.len() - serviced) as u64;
-        let mut fetched = 0u64;
-        let mut violations = 0u64;
-        let mut lateness = Vec::new();
-        let mut first_violation = None;
-        let first_display = self.epochs.first().and_then(|e| e.display_start);
-        for (j, item) in items.iter().enumerate().take(serviced) {
-            if self.dropped[j] {
-                dropped_blocks += 1;
-                continue;
-            }
-            if !item.silence {
-                fetched += 1;
-            }
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            let done = self.completions[j];
-            if j >= self.deadline_emitted {
-                obs.emit(|| Event::Deadline {
-                    stream,
-                    item: j as u64,
-                    round: self.fetch_rounds[j],
-                    deadline,
-                    completed: done,
-                });
-            }
-            if done > deadline {
-                violations += 1;
-                lateness.push(done - deadline);
-                if first_violation.is_none() {
-                    if let Some(ds) = first_display {
-                        first_violation = Some(deadline - ds);
-                    }
-                }
-            }
-        }
-        let mut series = Vec::new();
-        let mut j = 0;
-        while j < serviced {
-            let round = self.fetch_rounds[j];
-            let mut worst = i64::MAX;
-            let mut last = j;
-            while last < serviced && self.fetch_rounds[last] == round {
-                if !self.dropped[last] {
-                    if let Some(deadline) = self.deadline_of(last) {
-                        worst = worst.min(signed_margin(deadline, self.completions[last]));
-                    }
-                }
-                last += 1;
-            }
-            if worst == i64::MAX {
-                worst = 0;
-            }
-            let turn_end = self.completions[last - 1];
-            let consumed = match first_display {
-                Some(ds) => items.partition_point(|it| ds + it.at <= turn_end),
-                None => 0,
-            };
-            series.push(RoundSample {
-                round,
-                blocks: (last - j) as u64,
-                worst_margin_ns: worst,
-                buffered: (last as u64).saturating_sub(consumed as u64),
-            });
-            j = last;
-        }
-        let mut max_buffered = 0u64;
-        for j in 0..serviced {
-            let Some(deadline) = self.deadline_of(j) else {
-                continue;
-            };
-            let fetched_by = self.completions.partition_point(|c| *c <= deadline);
-            max_buffered = max_buffered.max((fetched_by as u64).saturating_sub(j as u64));
-        }
-        StreamOutcome {
-            blocks: items.len() as u64,
-            fetched,
-            violations,
-            max_lateness: lateness.iter().copied().max().unwrap_or(Nanos::ZERO),
-            lateness: NanosSummary::of(lateness),
-            start_latency: match (first_display, self.service_start) {
-                (Some(ds), Some(ss)) => ds - ss,
-                _ => Nanos::ZERO,
-            },
-            max_buffered,
-            series,
-            first_violation,
-            dropped_blocks,
-            retries: self.retries,
-            revokes: self.revokes,
-            recovery_time: self.recovery_time,
-        }
+impl AsMut<StreamState> for CStream {
+    fn as_mut(&mut self) -> &mut StreamState {
+        &mut self.state
     }
 }
 
@@ -628,7 +401,7 @@ fn repair_corrupt_block(
     // wholesale through the restore path.
     let mut switched = 0;
     for s in streams.iter_mut() {
-        if s.title != title || s.replica != rep || s.finished() {
+        if s.title != title || s.replica != rep || s.state.finished() {
             continue;
         }
         if let Some(r) = find_replica(cluster, quarantined, title, Some(rep))
@@ -868,12 +641,7 @@ fn probe_quarantined(
 /// place, keeping every completion, epoch and item offset.
 fn switch_schedule(cluster: &Cluster, s: &mut CStream, r: usize) -> Result<(), FsError> {
     let rep = &cluster.catalog().title(s.title).replicas[r];
-    if rep.schedule.items.len() != s.schedule.items.len() {
-        return Err(FsError::InvalidScenario {
-            reason: "replica schedules are not structurally identical",
-        });
-    }
-    s.schedule = rep.schedule.clone();
+    s.state.switch_schedule(rep.schedule.clone())?;
     s.replica = r;
     Ok(())
 }
@@ -913,12 +681,12 @@ pub fn simulate_cluster(
         let schedule = cluster.catalog().title(title).replicas[replica]
             .schedule
             .clone();
-        streams.push(CStream::new(
+        streams.push(CStream {
             title,
             replica,
-            schedule,
-            cfg.read_ahead.max(1),
-        ));
+            failovers: 0,
+            state: StreamState::new(schedule, cfg.read_ahead.max(1)),
+        });
     }
 
     let mut vol_t: Vec<Instant> = vec![Instant::EPOCH; volumes];
@@ -989,7 +757,7 @@ pub fn simulate_cluster(
         // enough AND the stream has somewhere live to play from.
         if clean_streak >= cfg.readmit_clean_rounds {
             for (idx, s) in streams.iter_mut().enumerate() {
-                if s.revoked_at.is_none() || s.finished() {
+                if !s.state.revoked() || s.state.finished() {
                     continue;
                 }
                 let Some(r) = find_replica(cluster, &quarantined, s.title, None)
@@ -1000,28 +768,13 @@ pub fn simulate_cluster(
                 if r != s.replica {
                     switch_schedule(cluster, s, r)?;
                 }
-                let since = s.revoked_at.take().expect("checked above");
-                s.recovery_time += t - since;
-                s.drops_since_admit = 0;
-                s.epochs.push(Epoch {
-                    first_item: s.next,
-                    display_start: None,
-                    resumed_at: Some(t),
-                });
-                let item = s.next as u64;
-                obs.emit(|| Event::Degrade {
-                    stream: idx,
-                    round,
-                    item,
-                    action: DegradeAction::Readmit,
-                    at: t,
-                });
+                s.state.readmit(idx, round, t, &obs);
             }
         }
         let active: Vec<usize> = streams
             .iter()
             .enumerate()
-            .filter(|(_, s)| !s.finished() && s.revoked_at.is_none())
+            .filter(|(_, s)| !s.state.finished() && !s.state.revoked())
             .map(|(i, _)| i)
             .collect();
         let script_pending = applied.iter().any(|done| !done);
@@ -1031,7 +784,7 @@ pub fn simulate_cluster(
         if active.is_empty() {
             let revoked: Vec<&CStream> = streams
                 .iter()
-                .filter(|s| !s.finished() && s.revoked_at.is_some())
+                .filter(|s| !s.state.finished() && s.state.revoked())
                 .collect();
             let can_return = revoked
                 .iter()
@@ -1048,7 +801,7 @@ pub fn simulate_cluster(
             // accounting sees the outage.
             let min_dur = revoked
                 .iter()
-                .map(|s| s.schedule.items[s.next].duration)
+                .map(|s| s.state.next_item().duration)
                 .min()
                 .unwrap_or(Nanos::from_millis(100));
             let advanced = Nanos::from_nanos(k.saturating_mul(min_dur.as_nanos()));
@@ -1117,268 +870,196 @@ pub fn simulate_cluster(
         let mut round_faults = false;
         for &idx in &active {
             let s = &mut streams[idx];
-            if s.service_start.is_none() {
-                s.service_start = Some(t);
-            }
             let mut vol = cluster.catalog().title(s.title).replicas[s.replica].volume;
-            let turn_begin = vol_t[vol];
-            let mut turn_blocks = 0u64;
-            let mut revoked_now = false;
-            for _ in 0..k {
-                if s.finished() || revoked_now {
-                    break;
-                }
-                let j = s.next;
-                if s.schedule.items[j].silence {
-                    let done = vol_t[vol].max(s.serve_floor);
-                    s.serve_floor = done;
-                    s.completions.push(done);
-                    s.dropped.push(false);
-                } else {
-                    // Fetch, failing over across replicas on a media
-                    // error — the glitch stays bounded by read-ahead
-                    // because the re-fetch happens in the same round.
-                    let mut fetched = false;
-                    let mut fail_at = vol_t[vol].max(s.serve_floor);
-                    for _attempt in 0..=volumes {
-                        if cluster.is_up(vol) {
-                            let item = s.schedule.items[j];
-                            let issue = vol_t[vol].max(fail_at);
-                            let deadline = s.deadline_of(j);
-                            match cluster
-                                .member_mut(vol)
-                                .mrs_mut()
-                                .msm_mut()
-                                .read_block_resilient_timed(
-                                    item.strand,
-                                    item.block,
-                                    issue,
-                                    item.duration,
-                                    deadline,
-                                )? {
-                                BlockFetch::Silence => {
-                                    return Err(FsError::InvalidScenario {
-                                        reason:
-                                            "non-silence schedule item resolves to a silence hole",
-                                    })
-                                }
-                                BlockFetch::Data { op, retries, .. } => {
-                                    vol_t[vol] = op.completed;
-                                    if retries > 0 {
-                                        round_faults = true;
-                                        s.retries += retries as u64;
+            let begin = vol_t[vol];
+            let fetch = |s: &mut CStream, j: usize| {
+                // Fetch, failing over across replicas on a media error —
+                // the glitch stays bounded by read-ahead because the
+                // re-fetch happens in the same round.
+                let mut retries = 0u64;
+                let mut resident = None;
+                let mut fail_at = vol_t[vol].max(s.state.last_completion());
+                for _attempt in 0..=volumes {
+                    if cluster.is_up(vol) {
+                        let item = s.state.schedule().items[j];
+                        let issue = vol_t[vol].max(fail_at);
+                        let deadline = s.state.deadline_of(j);
+                        match cluster.member_mut(vol).mrs_mut().msm_mut().fetch_block(
+                            item.strand,
+                            item.block,
+                            issue,
+                            item.duration,
+                            deadline,
+                        )? {
+                            BlockFetch::Silence => {
+                                return Err(FsError::InvalidScenario {
+                                    reason: "non-silence schedule item resolves to a silence hole",
+                                })
+                            }
+                            BlockFetch::Data { op, retries: r } => {
+                                vol_t[vol] = op.completed;
+                                round_faults |= r > 0;
+                                retries += r as u64;
+                                stats[vol].fetched += 1;
+                                let mut done = op.completed;
+                                let mut served = (vol, item);
+                                let lat = op.completed - issue;
+                                // Fail-slow defense: a fetch slower than
+                                // its block's play duration cannot sustain
+                                // continuity — race a replica from the
+                                // moment the threshold passed, earliest
+                                // completion wins.
+                                if cfg.hedge && lat > item.duration {
+                                    round_hedges[vol] += 1;
+                                    stats[vol].hedged += 1;
+                                    if let Some(r) = find_replica(
+                                        cluster,
+                                        &quarantined,
+                                        s.title,
+                                        Some(s.replica),
+                                    ) {
+                                        let (hv, h_item) = {
+                                            let rep = &cluster.catalog().title(s.title).replicas[r];
+                                            (rep.volume, rep.schedule.items[j])
+                                        };
+                                        let h_issue = vol_t[hv].max(issue + item.duration);
+                                        let h = cluster
+                                            .member_mut(hv)
+                                            .mrs_mut()
+                                            .msm_mut()
+                                            .fetch_block(
+                                                h_item.strand,
+                                                h_item.block,
+                                                h_issue,
+                                                item.duration,
+                                                deadline,
+                                            )?;
+                                        hedges += 1;
+                                        let mut won = false;
+                                        if let BlockFetch::Data { op: h_op, .. } = h {
+                                            vol_t[hv] = h_op.completed;
+                                            if h_op.completed < done {
+                                                won = true;
+                                                done = h_op.completed;
+                                                served = (hv, h_item);
+                                                stats[hv].fetched += 1;
+                                                hedge_wins += 1;
+                                            }
+                                        }
+                                        let at = done;
+                                        obs.emit(|| Event::Hedge {
+                                            stream: idx,
+                                            volume: vol,
+                                            hedge_volume: hv,
+                                            primary: lat,
+                                            won,
+                                            at,
+                                        });
+                                        if won {
+                                            // Stay on the faster copy for
+                                            // the rest of the run.
+                                            switch_schedule(cluster, s, r)?;
+                                            s.failovers += 1;
+                                            failovers += 1;
+                                            vol = hv;
+                                        }
                                     }
-                                    stats[vol].fetched += 1;
-                                    let mut done = op.completed;
-                                    let mut served = (vol, item);
-                                    let lat = op.completed - issue;
-                                    // Fail-slow defense: a fetch slower
-                                    // than its block's play duration
-                                    // cannot sustain continuity — race a
-                                    // replica from the moment the
-                                    // threshold passed, earliest
-                                    // completion wins.
-                                    if cfg.hedge && lat > item.duration {
-                                        round_hedges[vol] += 1;
-                                        stats[vol].hedged += 1;
-                                        if let Some(r) = find_replica(
+                                }
+                                if cfg.audit_integrity
+                                    && matches!(
+                                        cluster.members()[served.0]
+                                            .mrs()
+                                            .msm()
+                                            .check_block_sum(served.1.strand, served.1.block),
+                                        Ok(Some(false))
+                                    )
+                                {
+                                    corrupt_served += 1;
+                                }
+                                resident = Some(done);
+                                break;
+                            }
+                            BlockFetch::Failed {
+                                reason,
+                                at,
+                                retries: r,
+                            } => {
+                                round_faults = true;
+                                retries += r as u64;
+                                fail_at = fail_at.max(at);
+                                vol_t[vol] = vol_t[vol].max(at);
+                                match reason {
+                                    // Volume-failure detection: the read
+                                    // path, not an oracle.
+                                    FetchFailure::Media => cluster.mark_down(vol),
+                                    // The deadline is gone on every volume
+                                    // — drop, don't failover.
+                                    FetchFailure::Abandoned => break,
+                                    FetchFailure::RetriesExhausted => {}
+                                    // A corrupt payload is a replica
+                                    // problem, not a member problem: serve
+                                    // this one block from a clean copy and
+                                    // rewrite the bad extent in place,
+                                    // keeping the stream's pin. Only when
+                                    // no verifiable copy exists does the
+                                    // stream switch replicas below.
+                                    FetchFailure::Corrupt => {
+                                        if let Some((sv, done)) = read_around_repair(
                                             cluster,
                                             &quarantined,
                                             s.title,
-                                            Some(s.replica),
-                                        ) {
-                                            let (hv, h_item) = {
-                                                let rep =
-                                                    &cluster.catalog().title(s.title).replicas[r];
-                                                (rep.volume, rep.schedule.items[j])
-                                            };
-                                            let h_issue = vol_t[hv].max(issue + item.duration);
-                                            let h = cluster
-                                                .member_mut(hv)
-                                                .mrs_mut()
-                                                .msm_mut()
-                                                .read_block_resilient_timed(
-                                                    h_item.strand,
-                                                    h_item.block,
-                                                    h_issue,
-                                                    item.duration,
-                                                    deadline,
-                                                )?;
-                                            hedges += 1;
-                                            let mut won = false;
-                                            if let BlockFetch::Data { op: h_op, .. } = h {
-                                                vol_t[hv] = h_op.completed;
-                                                if h_op.completed < done {
-                                                    won = true;
-                                                    done = h_op.completed;
-                                                    served = (hv, h_item);
-                                                    stats[hv].fetched += 1;
-                                                    hedge_wins += 1;
-                                                }
-                                            }
-                                            let at = done;
-                                            obs.emit(|| Event::Hedge {
-                                                stream: idx,
-                                                volume: vol,
-                                                hedge_volume: hv,
-                                                primary: lat,
-                                                won,
-                                                at,
-                                            });
-                                            if won {
-                                                // Stay on the faster copy
-                                                // for the rest of the run.
-                                                switch_schedule(cluster, s, r)?;
-                                                s.failovers += 1;
-                                                failovers += 1;
-                                                vol = hv;
-                                            }
-                                        }
-                                    }
-                                    if cfg.audit_integrity
-                                        && matches!(
-                                            cluster.members()[served.0]
-                                                .mrs()
-                                                .msm()
-                                                .check_block_sum(served.1.strand, served.1.block),
-                                            Ok(Some(false))
-                                        )
-                                    {
-                                        corrupt_served += 1;
-                                    }
-                                    s.serve_floor = done;
-                                    s.completions.push(done);
-                                    s.dropped.push(false);
-                                    fetched = true;
-                                    break;
-                                }
-                                BlockFetch::Failed {
-                                    reason,
-                                    at,
-                                    retries,
-                                } => {
-                                    round_faults = true;
-                                    s.retries += retries as u64;
-                                    fail_at = fail_at.max(at);
-                                    vol_t[vol] = vol_t[vol].max(at);
-                                    match reason {
-                                        FetchFailure::Media => {
-                                            // Volume-failure detection:
-                                            // the read path, not an
-                                            // oracle.
-                                            cluster.mark_down(vol);
-                                        }
-                                        // The deadline is gone on every
-                                        // volume — drop, don't failover.
-                                        FetchFailure::Abandoned => break,
-                                        FetchFailure::RetriesExhausted => {}
-                                        // A corrupt payload is a replica
-                                        // problem, not a member problem:
-                                        // serve this one block from a
-                                        // clean copy and rewrite the bad
-                                        // extent in place, keeping the
-                                        // stream's pin. Only when no
-                                        // verifiable copy exists does the
-                                        // stream switch replicas below.
-                                        FetchFailure::Corrupt => {
-                                            if let Some((sv, done)) = read_around_repair(
-                                                cluster,
-                                                &quarantined,
-                                                s.title,
-                                                s.replica,
-                                                j,
-                                                fail_at,
-                                                &mut vol_t,
-                                            )? {
-                                                stats[sv].fetched += 1;
-                                                read_repairs += 1;
-                                                // The stream's next fetch
-                                                // is issued after this
-                                                // serve (serve_floor) —
-                                                // the volume's own clock
-                                                // is not charged for the
-                                                // remote read.
-                                                s.serve_floor = done;
-                                                s.completions.push(done);
-                                                s.dropped.push(false);
-                                                fetched = true;
-                                            }
+                                            s.replica,
+                                            j,
+                                            fail_at,
+                                            &mut vol_t,
+                                        )? {
+                                            stats[sv].fetched += 1;
+                                            read_repairs += 1;
+                                            // The stream's next fetch is
+                                            // issued after this serve (its
+                                            // last completion) — the
+                                            // volume's own clock is not
+                                            // charged for the remote read.
+                                            resident = Some(done);
+                                            break;
                                         }
                                     }
                                 }
                             }
                         }
-                        if fetched {
-                            break;
-                        }
-                        match find_replica(cluster, &quarantined, s.title, Some(s.replica))
-                            .or_else(|| find_replica_any(cluster, s.title, Some(s.replica)))
-                        {
-                            Some(r) => {
-                                switch_schedule(cluster, s, r)?;
-                                vol = cluster.catalog().title(s.title).replicas[r].volume;
-                                s.failovers += 1;
-                                failovers += 1;
-                            }
-                            None => break,
-                        }
                     }
-                    if !fetched {
-                        let drop_at = vol_t[vol].max(fail_at).max(s.serve_floor);
-                        s.serve_floor = drop_at;
-                        s.completions.push(drop_at);
-                        s.dropped.push(true);
-                        s.drops_since_admit += 1;
-                        round_faults = true;
-                        obs.emit(|| Event::Degrade {
-                            stream: idx,
-                            round,
-                            item: j as u64,
-                            action: DegradeAction::DropBlock,
-                            at: drop_at,
-                        });
-                        if s.drops_since_admit >= cfg.revoke_after_drops.max(1) {
-                            s.revoked_at = Some(drop_at);
-                            s.revokes += 1;
-                            revoked_now = true;
-                            obs.emit(|| Event::Degrade {
-                                stream: idx,
-                                round,
-                                item: j as u64,
-                                action: DegradeAction::Revoke,
-                                at: drop_at,
-                            });
+                    match find_replica(cluster, &quarantined, s.title, Some(s.replica))
+                        .or_else(|| find_replica_any(cluster, s.title, Some(s.replica)))
+                    {
+                        Some(r) => {
+                            switch_schedule(cluster, s, r)?;
+                            vol = cluster.catalog().title(s.title).replicas[r].volume;
+                            s.failovers += 1;
+                            failovers += 1;
                         }
+                        None => break,
                     }
                 }
-                s.fetch_rounds.push(round);
-                s.next += 1;
-                turn_blocks += 1;
-                let finished = s.finished();
-                let read_ahead = s.read_ahead;
-                let now = vol_t[vol];
-                let ep = s.epochs.last_mut().expect("epochs never empty");
-                if ep.display_start.is_none()
-                    && ((s.next - ep.first_item) as u64 >= read_ahead || finished)
-                {
-                    ep.display_start = Some(now);
-                    let anchor = ep.resumed_at.or(s.service_start).unwrap_or(now);
-                    obs.emit(|| Event::DisplayStart {
-                        stream: idx,
-                        at: now,
-                        latency: now - anchor,
-                    });
-                }
-            }
-            s.emit_due_deadlines(idx, &obs);
-            let end = vol_t[vol];
-            obs.emit(|| Event::StreamService {
-                stream: idx,
+                round_faults |= resident.is_none();
+                Ok(Fetched {
+                    at: resident.unwrap_or(vol_t[vol].max(fail_at)),
+                    dropped: resident.is_none(),
+                    retries,
+                    clock: vol_t[vol],
+                })
+            };
+            // A stream's service starts at the round start.
+            serve_turn(
+                s,
+                idx,
                 round,
-                begin: turn_begin,
-                end,
-                blocks: turn_blocks,
-            });
+                k,
+                t,
+                begin,
+                Some(cfg.revoke_after_drops),
+                &obs,
+                fetch,
+            )?;
         }
         // The cluster round ends when the slowest volume — and the
         // round's background restore budget — is done.
@@ -1438,7 +1119,7 @@ pub fn simulate_cluster(
                     // Walk every pinned stream off the slow member;
                     // sole-copy streams stay as a fallback.
                     for s2 in streams.iter_mut() {
-                        if s2.finished() {
+                        if s2.state.finished() {
                             continue;
                         }
                         if cluster.catalog().title(s2.title).replicas[s2.replica].volume != v {
@@ -1488,13 +1169,13 @@ pub fn simulate_cluster(
             streams: streams
                 .iter()
                 .enumerate()
-                .map(|(i, s)| s.outcome(i, &obs))
+                .map(|(i, s)| s.state.outcome(i, &obs))
                 .collect(),
             disk_busy,
             rounds: round,
         },
         replicated,
-        miss_bursts: streams.iter().map(|s| s.miss_burst()).collect(),
+        miss_bursts: streams.iter().map(|s| s.state.miss_burst()).collect(),
         failovers: streams
             .iter()
             .map(|s| s.failovers)
@@ -1640,6 +1321,117 @@ mod tests {
             plan = plan.with_silent_corruption(e);
         }
         assert!(c.arm_member_faults(0, plan));
+    }
+
+    #[test]
+    fn display_starts_only_once_the_read_ahead_has_arrived() {
+        // The pinned replica's whole read-ahead is corrupt and the only
+        // clean copy sits on a fail-slow member, so each read-around
+        // serve completes long after the pinned volume's own clock.
+        // Display must not start before the block that filled the
+        // read-ahead has arrived.
+        let mut c = cluster(2, 2);
+        let id = c
+            .ingest("hot", &ClipSpec::video_seconds(2.0).with_seed(21), 1.0)
+            .unwrap();
+        c.set_verify_reads(true);
+        let cfg = ClusterPlayback::with_k(3);
+        corrupt_first_blocks(&mut c, id, cfg.read_ahead);
+        assert!(c.arm_member_faults(1, FaultPlan::clean().with_fail_slow(10.0)));
+        let (sink, rec) = ObsSink::ring(1 << 16);
+        c.set_obs(&sink);
+        let report = simulate_cluster(&mut c, &[id], &[], &cfg).expect("sim");
+        assert_eq!(report.read_repairs, cfg.read_ahead);
+        let rec = rec.borrow();
+        let display = rec
+            .events()
+            .find_map(|e| match e {
+                Event::DisplayStart { stream: 0, at, .. } => Some(*at),
+                _ => None,
+            })
+            .expect("display started");
+        let read_ahead: Vec<Instant> = rec
+            .events()
+            .filter_map(|e| match e {
+                Event::Deadline {
+                    stream: 0,
+                    item,
+                    completed,
+                    ..
+                } if *item < cfg.read_ahead => Some(*completed),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(read_ahead.len() as u64, cfg.read_ahead);
+        for done in read_ahead {
+            assert!(display >= done, "display at {display:?} before {done:?}");
+        }
+    }
+
+    #[test]
+    fn one_member_cluster_serves_like_the_single_volume_loop() {
+        // Both loops run the same turn step. On identically built
+        // volumes at a drop-free load they agree on everything but the
+        // start anchor: the cluster measures start latency from the
+        // round start, the single-volume loop from the stream's own
+        // first turn — so the two differ by exactly that wait.
+        use strandfs_sim::playback::{simulate_playback, DegradeMode, PlaybackConfig};
+        let build = || {
+            let mut c = cluster(1, 1);
+            let ids: Vec<TitleId> = (0..2)
+                .map(|i| {
+                    c.ingest(
+                        &format!("t{i}"),
+                        &ClipSpec::video_seconds(2.0).with_seed(31 + i),
+                        0.0,
+                    )
+                    .unwrap()
+                })
+                .collect();
+            (c, ids)
+        };
+        for k in [1, 2, 3, 5] {
+            let (mut c, ids) = build();
+            let cluster = simulate_cluster(&mut c, &ids, &[], &ClusterPlayback::with_k(k))
+                .expect("cluster sim")
+                .sim;
+            let (mut c, ids) = build();
+            let schedules = ids
+                .iter()
+                .map(|&t| c.catalog().title(t).replicas[0].schedule.clone())
+                .collect();
+            let (sink, rec) = ObsSink::ring(1 << 16);
+            let mrs = c.member_mut(0).mrs_mut();
+            mrs.set_obs(sink);
+            let cfg = PlaybackConfig::with_k(k).degraded(DegradeMode::Ladder {
+                revoke_after_drops: 3,
+                readmit_clean_rounds: 2,
+            });
+            let single = simulate_playback(mrs, schedules, cfg).expect("single sim");
+            assert_eq!(cluster.total_dropped(), 0, "k = {k}");
+            let first_turn = |stream: usize| {
+                rec.borrow()
+                    .events()
+                    .find_map(|e| match e {
+                        Event::StreamService {
+                            stream: s, begin, ..
+                        } if *s == stream => Some(*begin - Instant::EPOCH),
+                        _ => None,
+                    })
+                    .expect("stream was served")
+            };
+            for (i, (a, b)) in cluster.streams.iter().zip(&single.streams).enumerate() {
+                assert_eq!(a.start_latency - b.start_latency, first_turn(i), "k = {k}");
+            }
+            assert_eq!(first_turn(0), Nanos::ZERO);
+            let masked = |mut r: SimReport| {
+                for s in &mut r.streams {
+                    s.start_latency = Nanos::ZERO;
+                }
+                r
+            };
+            assert_eq!(masked(cluster), masked(single), "k = {k}");
+        }
     }
 
     #[test]

@@ -50,7 +50,7 @@ pub enum FetchFailure {
     Corrupt,
 }
 
-/// Outcome of one resilient block fetch ([`Msm::read_block_resilient`]).
+/// Outcome of one resilient block fetch ([`Msm::fetch_block`]).
 ///
 /// Unlike a plain `Result`, a failed fetch still advances virtual time
 /// (failed attempts occupy the disk), so the failure carries the
@@ -62,8 +62,6 @@ pub enum BlockFetch {
     /// The payload arrived, possibly after retries; `op` is the final
     /// successful operation.
     Data {
-        /// The block payload.
-        payload: Vec<u8>,
         /// The successful disk operation.
         op: DiskOp,
         /// Transient failures retried before success.
@@ -78,6 +76,46 @@ pub enum BlockFetch {
         /// Retries spent before giving up.
         retries: u32,
     },
+}
+
+impl BlockFetch {
+    /// The strict reading of a fetch of block `n` of strand `id` stored
+    /// at `extent`: the disk operation (`None` for a silence hole), or
+    /// the fault outcome as its [`FsError`].
+    pub fn into_result(
+        self,
+        id: StrandId,
+        n: BlockNo,
+        extent: Option<Extent>,
+    ) -> Result<Option<DiskOp>, FsError> {
+        match self {
+            BlockFetch::Silence => Ok(None),
+            BlockFetch::Data { op, .. } => Ok(Some(op)),
+            BlockFetch::Failed {
+                reason, retries, ..
+            } => {
+                let e = extent.expect("failed fetch implies a stored extent");
+                Err(match reason {
+                    FetchFailure::Media => FsError::MediaError {
+                        lba: e.start,
+                        sectors: e.sectors,
+                    },
+                    FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
+                        lba: e.start,
+                        retries,
+                    },
+                    FetchFailure::Abandoned => FsError::DeadlineAbandoned {
+                        strand: id,
+                        block: n,
+                    },
+                    FetchFailure::Corrupt => FsError::ChecksumMismatch {
+                        lba: e.start,
+                        sectors: e.sectors,
+                    },
+                })
+            }
+        }
+    }
 }
 
 /// Configuration of a storage volume.
@@ -807,125 +845,33 @@ impl Msm {
     /// Read media block `n` of a strand at `now`. Returns `(payload,
     /// op)`; both are `None` for a silence hole (no I/O happens).
     ///
-    /// A fault-free read through [`Msm::read_block_resilient`] with a
-    /// zero retry budget: any injected fault surfaces as an error.
+    /// [`Msm::read_block_timed`] plus a copy of the stored payload: any
+    /// injected fault surfaces as an error.
     pub fn read_block(
         &mut self,
         id: StrandId,
         n: BlockNo,
         now: Instant,
     ) -> Result<(Option<Vec<u8>>, Option<DiskOp>), FsError> {
-        let extent = self.strand(id)?.block(n)?;
-        match self.read_block_resilient(id, n, now, Nanos::ZERO, None)? {
-            BlockFetch::Silence => Ok((None, None)),
-            BlockFetch::Data { payload, op, .. } => Ok((Some(payload), Some(op))),
-            BlockFetch::Failed {
-                reason, retries, ..
-            } => {
-                let e = extent.expect("failed fetch implies a stored extent");
-                Err(match reason {
-                    FetchFailure::Media => FsError::MediaError {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                    FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
-                        lba: e.start,
-                        retries,
-                    },
-                    FetchFailure::Abandoned => FsError::DeadlineAbandoned {
-                        strand: id,
-                        block: n,
-                    },
-                    FetchFailure::Corrupt => FsError::ChecksumMismatch {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                })
-            }
-        }
+        let Some(op) = self.read_block_timed(id, n, now)? else {
+            return Ok((None, None));
+        };
+        let payload = self.fetch_checked(op.extent, "media extent beyond device")?;
+        Ok((Some(payload), Some(op)))
     }
 
-    /// Read media block `n` with a continuity-aware retry budget.
-    ///
-    /// `budget` is the service time this read may consume in *failed*
-    /// attempts beyond the first — in the simulator it is derived from
-    /// the live Eq. 18 round slack, so retrying here can never push
-    /// another admitted stream past its continuity bound. `deadline`,
-    /// when given, is the block's playback deadline: if `now` is already
-    /// past it the read is abandoned without I/O (the degradation policy
-    /// drops the block rather than waste disk time on dead data).
-    ///
-    /// Unlike [`Msm::read_block`], fault outcomes are *data* here
-    /// ([`BlockFetch::Failed`]), not errors — the caller chooses the
-    /// degradation step. `Err` is reserved for real failures (unknown
-    /// strand, corrupt index).
-    pub fn read_block_resilient(
-        &mut self,
-        id: StrandId,
-        n: BlockNo,
-        now: Instant,
-        budget: Nanos,
-        deadline: Option<Instant>,
-    ) -> Result<BlockFetch, FsError> {
-        self.fetch_block(id, n, now, budget, deadline, true)
-    }
-
-    /// [`Msm::read_block_resilient`] without materializing the payload:
-    /// identical timing, retries, and fault outcomes, but `Data` carries
-    /// an empty `payload` vector (`Vec::new()` does not allocate). The
-    /// simulator's service loop reads hundreds of thousands of blocks
-    /// per round at scale and only consumes the *timing* of each fetch —
-    /// copying block payloads out of the device image would dominate the
-    /// run and churn the allocator.
-    pub fn read_block_resilient_timed(
-        &mut self,
-        id: StrandId,
-        n: BlockNo,
-        now: Instant,
-        budget: Nanos,
-        deadline: Option<Instant>,
-    ) -> Result<BlockFetch, FsError> {
-        self.fetch_block(id, n, now, budget, deadline, false)
-    }
-
-    /// [`Msm::read_block`] without materializing the payload: the strict
-    /// (zero-budget) read path of the simulator. Returns the successful
-    /// disk operation, `None` for a silence hole, and maps fault
-    /// outcomes to the same errors as [`Msm::read_block`].
+    /// A fault-free read of media block `n` without copying its payload:
+    /// [`Msm::fetch_block`] with a zero retry budget and no deadline,
+    /// any fault outcome mapped to its error. Returns the disk
+    /// operation, `None` for a silence hole.
     pub fn read_block_timed(
         &mut self,
         id: StrandId,
         n: BlockNo,
         now: Instant,
     ) -> Result<Option<DiskOp>, FsError> {
-        let extent = self.strand(id)?.block(n)?;
-        match self.fetch_block(id, n, now, Nanos::ZERO, None, false)? {
-            BlockFetch::Silence => Ok(None),
-            BlockFetch::Data { op, .. } => Ok(Some(op)),
-            BlockFetch::Failed {
-                reason, retries, ..
-            } => {
-                let e = extent.expect("failed fetch implies a stored extent");
-                Err(match reason {
-                    FetchFailure::Media => FsError::MediaError {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                    FetchFailure::RetriesExhausted => FsError::RetriesExhausted {
-                        lba: e.start,
-                        retries,
-                    },
-                    FetchFailure::Abandoned => FsError::DeadlineAbandoned {
-                        strand: id,
-                        block: n,
-                    },
-                    FetchFailure::Corrupt => FsError::ChecksumMismatch {
-                        lba: e.start,
-                        sectors: e.sectors,
-                    },
-                })
-            }
-        }
+        let fetch = self.fetch_block(id, n, now, Nanos::ZERO, None)?;
+        fetch.into_result(id, n, self.strand(id)?.block(n)?)
     }
 
     /// Verify block `n`'s stored payload against the checksum stamped in
@@ -979,14 +925,30 @@ impl Msm {
         self.timed_write(now, e)
     }
 
-    fn fetch_block(
+    /// Read media block `n` with a continuity-aware retry budget — the
+    /// one resilient read. It times the access and verifies the stamp
+    /// but never copies the payload: the service loops consume only the
+    /// timing of each fetch ([`Msm::read_block`] adds the copy).
+    ///
+    /// `budget` is the service time this read may consume in *failed*
+    /// attempts beyond the first — in the simulator it is derived from
+    /// the live Eq. 18 round slack, so retrying here can never push
+    /// another admitted stream past its continuity bound. `deadline`,
+    /// when given, is the block's playback deadline: if `now` is already
+    /// past it the read is abandoned without I/O (the degradation policy
+    /// drops the block rather than waste disk time on dead data).
+    ///
+    /// Fault outcomes are *data* here ([`BlockFetch::Failed`]), not
+    /// errors — the caller chooses the degradation step, or maps them
+    /// with [`BlockFetch::into_result`]. `Err` is reserved for real
+    /// failures (unknown strand, corrupt index).
+    pub fn fetch_block(
         &mut self,
         id: StrandId,
         n: BlockNo,
         now: Instant,
         budget: Nanos,
         deadline: Option<Instant>,
-        want_payload: bool,
     ) -> Result<BlockFetch, FsError> {
         let strand = self.strand(id)?;
         let extent = strand.block(n)?;
@@ -1022,19 +984,7 @@ impl Msm {
                             retries,
                         });
                     }
-                    // `access` succeeding guarantees the extent is
-                    // on-device, so the timed path can skip the copy
-                    // outright — an empty Vec never touches the heap.
-                    let payload = if want_payload {
-                        self.fetch_checked(e, "media extent beyond device")?
-                    } else {
-                        Vec::new()
-                    };
-                    return Ok(BlockFetch::Data {
-                        payload,
-                        op,
-                        retries,
-                    });
+                    return Ok(BlockFetch::Data { op, retries });
                 }
                 Err(f) => match f.kind {
                     // Reads are never torn; a crashed device is as

@@ -454,13 +454,10 @@ pub fn simulate_degraded_reference(
                         _ => round_share.unwrap_or(item.duration),
                     };
                     let deadline = state.deadline_of(j);
-                    match mrs.msm_mut().read_block_resilient(
-                        item.strand,
-                        item.block,
-                        t,
-                        budget,
-                        deadline,
-                    )? {
+                    match mrs
+                        .msm_mut()
+                        .fetch_block(item.strand, item.block, t, budget, deadline)?
+                    {
                         BlockFetch::Silence => {
                             return Err(FsError::InvalidScenario {
                                 reason: "non-silence schedule item resolves to a silence hole",

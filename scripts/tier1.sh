@@ -18,6 +18,12 @@ cargo build --workspace --release --offline
 echo "==> cargo test --workspace -q --offline"
 cargo test --workspace -q --offline
 
+# The end-to-end benchmark is its own package, outside the workspace:
+# compile it and run its smoke tests here so an API change it depends
+# on breaks the gate, not only the benchmark pipeline.
+echo "==> strandbench smoke tests"
+cargo test --release --offline --manifest-path strandbench/Cargo.toml
+
 # The quick gate caps the E16 scale sweep at 10k streams (the 100k cell
 # is a multi-second measurement); the committed baseline is generated
 # uncapped, and `bench --check` drops baseline entries for capped-out

@@ -311,17 +311,15 @@ fn resilient_read_recovers_within_budget() {
     let victim = block_extent(&msm, id, 1);
     assert!(msm.arm_faults(FaultPlan::clean().with_transient(victim, 1)));
     let fetch = msm
-        .read_block_resilient(id, 1, t, Nanos::from_millis(500), None)
+        .fetch_block(id, 1, t, Nanos::from_millis(500), None)
         .unwrap();
-    match fetch {
-        BlockFetch::Data {
-            payload, retries, ..
-        } => {
-            assert_eq!(retries, 1, "one transient failure, then success");
-            assert_eq!(payload[0], 1);
-        }
-        other => panic!("expected recovered data, got {other:?}"),
-    }
+    let BlockFetch::Data { op, retries } = fetch else {
+        panic!("expected recovered data, got {fetch:?}");
+    };
+    assert_eq!(retries, 1, "one transient failure, then success");
+    // The transient is spent: the block now reads back its payload.
+    let (payload, _) = msm.read_block(id, 1, op.completed).unwrap();
+    assert_eq!(payload.expect("stored block")[0], 1);
 }
 
 #[test]
@@ -329,7 +327,7 @@ fn expired_deadline_abandons_without_io() {
     let (mut msm, id, t) = faulted_msm();
     let reads_before = msm.disk().stats().reads;
     let fetch = msm
-        .read_block_resilient(id, 0, t, Nanos::from_millis(500), Some(Instant::EPOCH))
+        .fetch_block(id, 0, t, Nanos::from_millis(500), Some(Instant::EPOCH))
         .unwrap();
     assert!(
         matches!(

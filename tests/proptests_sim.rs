@@ -687,6 +687,7 @@ fn cluster_chaos_replicated_streams_survive_member_loss() {
 fn cluster_integrity_chaos_scrub_repairs_and_viewers_stay_clean() {
     use strandfs::cluster::{simulate_cluster, Cluster, ClusterConfig, ClusterPlayback, Placement};
     use strandfs::disk::FaultPlan;
+    use strandfs::obs::{Event, ObsSink};
     use strandfs::sim::ClipSpec;
 
     // Random silent corruption on one replica plus a gray fail-slow
@@ -757,7 +758,39 @@ fn cluster_integrity_chaos_scrub_repairs_and_viewers_stay_clean() {
             // remote read-around serve per bad block, each costing
             // ~0.3·slow_x item durations on the slow source.
             cfg.read_ahead = 2 * cfg.k + (3 * len * slow_x).div_ceil(10);
+            let (sink, events) = ObsSink::ring(1 << 16);
+            c.set_obs(&sink);
             let report = simulate_cluster(&mut c, &[id, id], &[], &cfg).expect("cluster sim");
+            // Display starts only once the read-ahead has arrived, even
+            // when read-around serves it from another member.
+            for stream in 0..2 {
+                let events = events.borrow();
+                let display = events.events().find_map(|e| match e {
+                    Event::DisplayStart { stream: s, at, .. } if *s == stream => Some(*at),
+                    _ => None,
+                });
+                prop_assert!(display.is_some(), "stream {} never displayed", stream);
+                for e in events.events() {
+                    if let Event::Deadline {
+                        stream: s,
+                        item,
+                        completed,
+                        ..
+                    } = e
+                    {
+                        if *s == stream && *item < cfg.read_ahead {
+                            prop_assert!(
+                                display >= Some(*completed),
+                                "stream {} displayed at {:?} before item {} arrived at {:?}",
+                                stream,
+                                display,
+                                item,
+                                completed
+                            );
+                        }
+                    }
+                }
+            }
 
             // Every corrupt block was detected — by the scrubber or by a
             // verified viewer read — and repaired in place (or the
